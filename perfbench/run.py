@@ -2,7 +2,7 @@
 
 Usage (from the root of a checkout)::
 
-    python3 perfbench/run.py --workload tpch-inmem --seed 1 --seconds 15 --trace 0
+    python3 perfbench/run.py --workload tpch-inmem --seed 1 --seconds 18 --trace 0
 
 Workloads: ``tpch-inmem``, ``iqre-shuffle``, ``tenant-burst``,
 ``tpch-spill`` (see ``perfbench/workloads.py`` for why each exists).
@@ -17,17 +17,26 @@ A run has four phases:
    dataset cache, the engine, and a warm-up pass that fills the compile,
    plan and prediction caches.  ``setup_s`` is the median, plus the
    one-off ``import repro``.
-3. **Measured phase**: whole rounds of the workload until ``--seconds``
-   host seconds of queries have run (at least ``window_rounds``).  Every
-   answer is compared with the reference; a wrong answer, an error or a
-   rejection counts as failed and as a missed deadline.  Virtual metrics
-   come from the first ``window_rounds`` rounds, which are the same
-   queries for a seed, so they repeat exactly.
+3. **Measured phase**: whole rounds of the workload for ``--seconds``
+   host seconds (at least ``window_rounds``).  Every answer is compared
+   with the reference; a wrong answer, an error or a rejection counts as
+   failed and as a missed deadline.  Virtual metrics come from the first
+   ``window_rounds`` rounds, which are the same queries for a seed, so
+   they repeat exactly.
 4. With ``--trace 1``, a second engine is set up and the same window runs
    under the span recorder (``perfbench/spans.py``).  The traced window
    must give the same rows, virtual times and counts as the untraced one
    (inertness); the run reports the per-layer split instead of the
    end-to-end metrics.
+
+Host speed: a fixed kernel (``perfbench/speed.py``) is timed before and
+after every set-up, and after every measured round for about
+``CALIBRATION_SHARE`` of the round's time (the measured phase's
+``--seconds`` include it).  ``setup_s`` and ``throughput_qps`` count
+host seconds at the kernel's reference speed, scaled by its mean time
+over the set-ups and over the measured phase respectively, so that most
+of the host's drift under its neighbours' load cancels; the unscaled
+figures are printed as ``setup_raw_s`` and ``throughput_raw_qps``.
 
 The last line of standard output is one JSON object: ``correct``,
 ``attempted``, ``failed`` and ``metrics``.  A record with the host's
@@ -53,6 +62,12 @@ BENCH_DIR = Path(__file__).resolve().parent
 ROOT = BENCH_DIR.parent
 OUT = ROOT / ".perfbench-out"
 SETUP_REPS = 3
+#: Host seconds of each calibration around a set-up; at least that of
+#: each calibration in the measured phase, and the share of a measured
+#: round's time spent calibrating after it.
+SETUP_CALIBRATION_S = 0.25
+CALIBRATION_S = 0.1
+CALIBRATION_SHARE = 0.15
 
 #: End-to-end metrics every workload reports (the JSON line with --trace 0).
 END_TO_END = {
@@ -191,22 +206,29 @@ def counters(workload, state) -> Counter:
     return c
 
 
-def run_window(workload, state, rounds) -> dict:
-    """Run ``rounds`` whole rounds; returns queries, host seconds and the
-    counter deltas over them."""
-    before = counters(workload, state)
-    queries, host_s, per_round, per_round_ok = [], 0.0, [], []
+def run_rounds(workload, state, rounds, calibrator=None) -> tuple[list, list[dict]]:
+    """Run ``rounds`` whole rounds, each followed by a calibration when a
+    calibrator is given; returns the queries and one entry per round."""
+    queries, per_round = [], []
     for index in rounds:
         round_queries, round_s = workload.run_round(state, index)
         queries.extend(round_queries)
-        host_s += round_s
-        per_round.append(round_s)
-        per_round_ok.append(sum(1 for q in round_queries if q.ok))
+        per_round.append({"ok": sum(1 for q in round_queries if q.ok), "host_s": round_s})
+        if calibrator is not None:
+            calibrator.calibrate(max(CALIBRATION_S, CALIBRATION_SHARE * round_s))
+    return queries, per_round
+
+
+def run_window(workload, state, rounds, calibrator=None) -> dict:
+    """Run the fixed window; returns queries, rounds and the counter
+    deltas over them."""
+    before = counters(workload, state)
+    queries, per_round = run_rounds(workload, state, rounds, calibrator)
     after = counters(workload, state)
     delta = Counter({k: after[k] - before[k] for k in after})
     return {
-        "queries": queries, "host_s": host_s, "counts": delta,
-        "round_s": per_round, "round_ok": per_round_ok,
+        "queries": queries, "rounds": per_round, "counts": delta,
+        "host_s": sum(r["host_s"] for r in per_round),
         # Finished queries stay reachable from the engine, so resident
         # memory keeps growing with the rounds a host fits in --seconds;
         # the peak is read after the fixed window to measure fixed work.
@@ -228,14 +250,20 @@ def signature(window) -> dict:
 
 
 # -- metrics ---------------------------------------------------------------
-def end_to_end(workload, setups, window, measured) -> dict:
+def end_to_end(workload, setups, window, measured, setup_speed, speed) -> dict:
     from workloads import median, p90
 
     queries = measured["queries"]
     ok = [q for q in queries if q.ok]
+    setup_s = median(setups)
+    host_s = sum(r["host_s"] for r in measured["rounds"])
+    exponent = workload.host_speed_exponent
     out = {
-        "setup_s": median(setups),
-        "throughput_qps": ratio(len(ok), measured["host_s"]),
+        "setup_s": setup_speed.at_reference(setup_s, exponent),
+        "throughput_qps": ratio(len(ok), speed.at_reference(host_s, exponent)),
+        "setup_raw_s": setup_s,
+        "throughput_raw_qps": ratio(len(ok), host_s),
+        "kernel_ms": 1000.0 * speed.kernel_s(),
     }
     host = [q.host_s for q in ok if q.host_s is not None]
     if host:
@@ -264,6 +292,9 @@ def end_to_end(workload, setups, window, measured) -> dict:
 
 UNITS = {
     **END_TO_END,
+    "setup_raw_s": "s",
+    "throughput_raw_qps": "1/s",
+    "kernel_ms": "ms",
     "host_latency_p50_s": "s",
     "host_latency_p90_s": "s",
     "virt_latency_p90_s": "s",
@@ -353,6 +384,7 @@ def measure(args) -> tuple[dict, dict, int, int, bool]:
     from repro import Catalog
     from workloads import DEFAULT_SEED, WORKLOADS, digest, probe_objects
     from spans import SpanRecorder
+    from speed import Calibrator
 
     workload = WORKLOADS[args.workload](args.seed, OUT / "spill")
     workload.prepare()
@@ -370,38 +402,41 @@ def measure(args) -> tuple[dict, dict, int, int, bool]:
         state = workload.setup(catalog)
         return state, time.perf_counter() - start, built - start
 
+    setup_speed = Calibrator()
     setups, catalog_s, state = [], [], None
     for _ in range(SETUP_REPS):
         state = None
         gc.collect()
+        setup_speed.calibrate(SETUP_CALIBRATION_S)
         state, setup_s, build_s = set_up()
         setups.append(args.import_s + setup_s)
         catalog_s.append(build_s)
+    setup_speed.calibrate(SETUP_CALIBRATION_S)
 
     gc.collect()
+    speed = Calibrator()
+    start = time.perf_counter()
+    speed.calibrate(CALIBRATION_S)
     window_rounds = range(workload.window_rounds)
-    window = run_window(workload, state, window_rounds)
-    measured = {
-        "queries": list(window["queries"]),
-        "host_s": window["host_s"],
-        "rounds": [(n, s) for n, s in zip(window["round_ok"], window["round_s"])],
-    }
+    window = run_window(workload, state, window_rounds, speed)
+    measured = {"queries": list(window["queries"]), "rounds": list(window["rounds"])}
     index = workload.window_rounds
-    while measured["host_s"] < args.seconds:
-        queries, host_s = workload.run_round(state, index)
+    while time.perf_counter() - start < args.seconds:
+        queries, rounds = run_rounds(workload, state, [index], speed)
         measured["queries"].extend(queries)
-        measured["host_s"] += host_s
-        measured["rounds"].append((sum(1 for q in queries if q.ok), host_s))
+        measured["rounds"].extend(rounds)
         index += 1
-    metrics = end_to_end(workload, setups, window, measured)
+    metrics = end_to_end(workload, setups, window, measured, setup_speed, speed)
     record = {
         "workload": workload.name,
         "host": host_labels(workload),
         "seconds": args.seconds,
-        "rounds": [{"ok": n, "host_s": s} for n, s in measured["rounds"]],
+        "rounds": measured["rounds"],
         "end_to_end": metrics,
         "window_counts": dict(window["counts"]),
         "setup_samples_s": setups,
+        "setup_calibrations": setup_speed.calibrations,
+        "calibrations": speed.calibrations,
     }
 
     if args.trace:
@@ -462,7 +497,7 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--workload", required=True)
     parser.add_argument("--seed", type=int, default=1)
-    parser.add_argument("--seconds", type=float, default=15.0)
+    parser.add_argument("--seconds", type=float, default=18.0)
     parser.add_argument("--trace", type=int, choices=(0, 1), default=0)
     args = parser.parse_args(argv)
     if not (ROOT / "src" / "repro" / "__init__.py").is_file():

@@ -42,6 +42,7 @@ from repro import (
     PoissonArrivals,
     QueryOptions,
     TPCH_QUERIES,
+    TraceArrivals,
     TuningRejected,
     Workload,
     shuffle_experiment_engine,
@@ -146,6 +147,12 @@ class BenchWorkload:
     window_rounds = 1
     #: Whether queries go through sessions (the workload layer exists).
     uses_sessions = False
+    #: How the workload's host time follows the host's speed: it grows
+    #: as the calibration kernel's time to this power (see
+    #: ``perfbench/speed.py``).  Each workload's value is the slope of
+    #: log throughput on log kernel time, rounded, over 25 to 40 runs on
+    #: the 2-core container the baseline was measured on.
+    host_speed_exponent = 1.0
 
     def __init__(self, seed: int, spill_dir: Path):
         self.seed = seed
@@ -249,6 +256,7 @@ class TpchInmem(BenchWorkload):
 
     name = "tpch-inmem"
     scale = 0.05
+    host_speed_exponent = 0.6
 
     def reference_sql(self):
         return {name: TPCH_QUERIES[name] for name in TPCH_NAMES}
@@ -284,6 +292,7 @@ class TpchSpill(BenchWorkload):
     scale = 0.05
     queries = ("Q9", "Q18")
     budget_fraction = 0.2
+    host_speed_exponent = 0.9
 
     def reference_sql(self):
         return {name: TPCH_QUERIES[name] for name in self.queries}
@@ -452,13 +461,15 @@ DASHBOARD = (
 class TenantBurst(BenchWorkload):
     """Three tenants through sessions, with sharing and prediction on:
     interactive Poisson arrivals (open loop in virtual time) with a
-    deadline, a closed-loop ETL tenant, and a repeated dashboard query.
+    deadline, a closed-loop ETL tenant, and a dashboard query refreshed
+    once per virtual second.
     Literals come from a seeded pool per template, so repeats fold onto
     running queries or hit the result cache within its TTL."""
 
     name = "tenant-burst"
     scale = 0.01
     uses_sessions = True
+    host_speed_exponent = 0.6
     #: Open-loop arrivals make each round's latencies vary with the draw,
     #: so the virtual metrics pool four rounds (480 queries).
     window_rounds = 4
@@ -467,16 +478,18 @@ class TenantBurst(BenchWorkload):
     #: percentiles swing with each seed's arrival bursts.
     interactive = dict(rate=2.0, count=80, deadline=2.0)
     etl_count = 8
-    dashboard = dict(rate=1.0, count=32)
+    #: Refreshes at a fixed period, so how many hit the result cache
+    #: does not swing with each seed's arrival gaps.
+    dashboard = dict(period=1.0, count=32)
 
     def literals(self) -> dict[str, list[int]]:
-        # Distinct literals from narrow ranges: every seed's pool then has
-        # about the same selectivity, so seeds differ in data and order,
-        # not in how much work the mix asks for.
+        # One literal from each of ``pool`` equal slices of a range: every
+        # seed's pool then spans the same selectivities, so seeds differ
+        # in data and order, not in how much work the mix asks for.
         rng = self.rng("pool")
         return {
-            "interactive": rng.sample(range(20, 45), self.pool),
-            "etl": rng.sample(range(25, 37), self.pool),
+            "interactive": stratified(rng, 20, 45, self.pool),
+            "etl": stratified(rng, 25, 37, self.pool),
         }
 
     def reference_sql(self):
@@ -494,21 +507,19 @@ class TenantBurst(BenchWorkload):
     def round_plan(self, index) -> dict:
         rng = self.rng("round", index)
         lits = self.literals()
-        # Every round holds each template equally often (seeded order and
-        # literals), so rounds and seeds differ in data, not in mix.
-        interactive = [
-            f"i{i % len(INTERACTIVE)}:{rng.choice(lits['interactive'])}"
-            for i in range(self.interactive["count"])
-        ]
+        # Every round holds each template, and each literal of its pool,
+        # equally often (in seeded order), so rounds and seeds differ in
+        # data and order, not in mix.
+        interactive = balanced(
+            rng, "i", len(INTERACTIVE), lits["interactive"], self.interactive["count"]
+        )
         rng.shuffle(interactive)
-        etl = [
-            f"e{i % len(ETL)}:{rng.choice(lits['etl'])}"
-            for i in range(self.etl_count)
-        ]
+        etl = balanced(rng, "e", len(ETL), lits["etl"], self.etl_count)
         return {
             "interactive": interactive,
             "etl": etl,
             "arrival_seed": rng.randrange(1 << 30),
+            "dashboard_phase": rng.random() * self.dashboard["period"],
         }
 
     def inputs(self, rounds):
@@ -520,6 +531,7 @@ class TenantBurst(BenchWorkload):
                 "interactive": [sql[k] for k in plan["interactive"]],
                 "etl": [sql[k] for k in plan["etl"]],
                 "arrival_seed": plan["arrival_seed"],
+                "dashboard_phase": plan["dashboard_phase"],
             })
         return {"rounds": out, "interactive": self.interactive, "dashboard": self.dashboard}
 
@@ -548,10 +560,10 @@ class TenantBurst(BenchWorkload):
             priority=1.0, deadline=self.interactive["deadline"],
         )
         workload.add_tenant("etl", [sql[k] for k in plan["etl"]], ClosedLoop(count=self.etl_count))
-        workload.add_tenant(
-            "dashboard", [DASHBOARD],
-            PoissonArrivals(rate=self.dashboard["rate"], count=self.dashboard["count"]),
-        )
+        period = self.dashboard["period"]
+        workload.add_tenant("dashboard", [DASHBOARD], TraceArrivals(tuple(
+            plan["dashboard_phase"] + i * period for i in range(self.dashboard["count"])
+        )))
         records_before = len(engine.workload.records)
         workload.run(MAX_VIRTUAL_SECONDS)
         return workload, engine.workload.records[records_before:]
@@ -589,6 +601,24 @@ class TenantBurst(BenchWorkload):
                 queue_s=record.queue_seconds,
             ))
         return out, host_s
+
+
+def stratified(rng: random.Random, low: int, high: int, count: int) -> list[int]:
+    """One integer from each of ``count`` equal slices of [low, high)."""
+    bounds = [low + (high - low) * k // count for k in range(count + 1)]
+    return [rng.randrange(a, b) for a, b in zip(bounds, bounds[1:])]
+
+
+def balanced(
+    rng: random.Random, prefix: str, templates: int, pool: list[int], count: int
+) -> list[str]:
+    """``count`` query labels in template order ``i % templates``, each
+    template cycling through its own seeded shuffle of ``pool``."""
+    orders = [rng.sample(pool, len(pool)) for _ in range(templates)]
+    return [
+        f"{prefix}{i % templates}:{orders[i % templates][(i // templates) % len(pool)]}"
+        for i in range(count)
+    ]
 
 
 WORKLOADS = {
