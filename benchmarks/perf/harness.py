@@ -624,7 +624,8 @@ def main(argv: list[str] | None = None) -> int:
         help=(
             f"exit nonzero unless {'/'.join(MEMORY_QUERIES)} at "
             f"SF{MEMORY_SCALE} complete value-identically under "
-            f"{MEMORY_BUDGET_FRACTION:.0%} of their unbudgeted peak bytes "
+            # argparse %-formats help: the percent sign is escaped.
+            f"{MEMORY_BUDGET_FRACTION:.0%}% of their unbudgeted peak bytes "
             "(skips the normal report)"
         ),
     )

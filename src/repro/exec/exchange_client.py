@@ -59,7 +59,10 @@ class ExchangeClient:
         #: Signalled when the finished state may have changed or new pages
         #: arrived; exchange source operators wait here.
         self.on_output = self.buffer.not_empty
-        self.buffer.not_full.add(self._resume_all)
+        #: True while ``_resume_all`` sits in ``buffer.not_full``; keeps
+        #: the client at one subscription however often capacity grows.
+        self._armed = False
+        self._arm()
         self._no_more_splits = False
         #: Set when the owning task crashes: a dead client must never take
         #: pages from upstream buffers again (they belong to the
@@ -96,8 +99,8 @@ class ExchangeClient:
             return page
         if self.finished:
             return Page.end()
-        # A poll on empty may have grown the buffer: resume paused fetches.
-        self._resume_all()
+        # No scan here: a poll that grows the buffer notifies ``not_full``,
+        # and the armed subscription resumes the splits paused for space.
         return None
 
     @property
@@ -108,10 +111,16 @@ class ExchangeClient:
         return self.buffer.not_empty
 
     # -- fetch machinery ----------------------------------------------------
+    def _arm(self) -> None:
+        if not self._armed:
+            self._armed = True
+            self.buffer.not_full.add(self._resume_all)
+
     def _resume_all(self) -> None:
-        # Re-arm the persistent not_full subscription (WaiterList is
-        # one-shot) and kick every idle split.
-        self.buffer.not_full.add(self._resume_all)
+        # ``not_full`` fired and dropped us (WaiterList is one-shot):
+        # re-arm, then kick every idle split.
+        self._armed = False
+        self._arm()
         for state in list(self.splits.values()):
             self._try_fetch(state)
 

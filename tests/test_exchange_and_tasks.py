@@ -3,7 +3,13 @@ exercised through a minimal two-stage query."""
 
 import pytest
 
-from repro import AccordionEngine, EngineConfig, QueryOptions
+from repro import (
+    AccordionEngine,
+    EngineConfig,
+    QueryOptions,
+    shuffle_experiment_engine,
+)
+from repro.buffers.elastic import WaiterList
 from repro.config import CostModel
 from repro.data.tpch.queries import QUERIES
 from repro.errors import SchedulingError
@@ -84,6 +90,60 @@ def test_exchange_client_duplicate_split_ignored(running_q3):
     client.add_split(split)
     assert len(client.splits) == before
     engine.run_until_done(query, 1e6)
+
+
+def test_exchange_waiters_do_not_leak_under_shuffle_dop_changes(monkeypatch):
+    """Figure 28's schedule (shuffle stage 1 -> 4 -> 8 tasks mid-flight)
+    feeds more upstream splits into every join task's exchange client.
+    No waiter list may ever hold the same callback twice, and each client
+    keeps at most one ``not_full`` subscription. The answer, virtual time
+    and event count are pinned: how fetches are woken must not move a
+    single simulated event."""
+    add = WaiterList.add
+    doubled = []
+
+    def add_once(self, fn):
+        # Recorded, not raised: callbacks run inside drivers, which would
+        # turn an assertion into a failed query.
+        if fn in self._waiters:
+            doubled.append(fn)
+        add(self, fn)
+
+    monkeypatch.setattr(WaiterList, "add", add_once)
+    engine = shuffle_experiment_engine(scale=0.005)
+    query = engine.submit(
+        QUERIES["QSHUFFLE"],
+        QueryOptions(
+            shuffle_stage_tables=frozenset({"orders"}),
+            stage_dops={1: 10, 2: 1},
+            join_distribution="partitioned",
+            scan_stage_dop=2,
+            initial_task_dop=6,
+        ),
+    )
+    for at, target in ((1.0, 4), (2.0, 8)):
+        engine.kernel.run(until=at, stop_when=lambda: query.finished)
+        query.tuning.ap(2, target)
+    engine.run_until_done(query, 1e6)
+
+    assert not doubled, f"{doubled[0]!r} subscribed twice"
+    assert len(query.stages[2].tasks) == 8
+    clients = [
+        client
+        for stage in query.stages.values()
+        for task in stage.tasks
+        for client in task.exchange_clients.values()
+    ]
+    assert clients
+    for client in clients:
+        own = [
+            fn for fn in client.buffer.not_full._waiters
+            if getattr(fn, "__self__", None) is client
+        ]
+        assert len(own) <= 1, client.name
+    assert query.result().rows == [(351,)]
+    assert query.elapsed == 2.497720460799993
+    assert engine.kernel.events_processed == 19714
 
 
 # -- drivers ------------------------------------------------------------------
