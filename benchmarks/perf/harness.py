@@ -17,9 +17,6 @@ Usage::
         --check-memory-budget      # SF0.2 out-of-core gate (DESIGN.md §13)
     PYTHONPATH=src python benchmarks/perf/harness.py \
         --check-sharing-speedup    # >2x effective-QPS gate (DESIGN.md §14)
-    PYTHONPATH=src python benchmarks/perf/harness.py --workers 4   # + parallel columns
-    PYTHONPATH=src python benchmarks/perf/harness.py \
-        --check-parallel           # worker-pool gate (DESIGN.md §15)
     PYTHONPATH=src python benchmarks/perf/harness.py \
         --check-predictive         # learned demand-profile gate (DESIGN.md §16)
 
@@ -91,7 +88,7 @@ MEMORY_BUDGET_FRACTION = 0.25
 MEMORY_BUDGET_HEADROOM = 0.8
 #: Sharing gate (DESIGN.md §14): a bursty overlapping workload must gain
 #: this factor of effective QPS from folding + result caching, with
-#: bit-identical per-query answers.
+#: bit-identical per-query answers and a byte-identical same-seed re-run.
 SHARING_SCALE = 0.01
 SHARING_MIN_SPEEDUP = 2.0
 SHARING_QUERY_MIX = (
@@ -103,18 +100,6 @@ SHARING_QUERY_MIX = (
     "where l_quantity < 10 and l_orderkey < 1000",
     "select o_orderstatus, count(*) from orders group by o_orderstatus",
 )
-#: Worker-pool gate (DESIGN.md §15): at 4 workers the join/agg-heavy
-#: queries must return bit-identical rows always, and on hosts with at
-#: least ``PARALLEL_MIN_CORES`` cores at least two of them must beat
-#: serial by ``PARALLEL_MIN_SPEEDUP``.  Larger pages give the chunker
-#: headroom (a 4096-row default page splits into at most two 2048-row
-#: chunks); both sides of the comparison use the same page size.
-PARALLEL_WORKERS = 4
-PARALLEL_QUERIES = ("Q5", "Q9", "Q18")
-PARALLEL_MIN_SPEEDUP = 1.8
-PARALLEL_MIN_WINS = 2
-PARALLEL_MIN_CORES = 4
-PARALLEL_PAGE_ROWS = 65536
 #: Predictive gate (DESIGN.md §16): after a warmup window accumulates
 #: per-template demand history, the predictive measured window of a
 #: seeded bursty workload must beat the reactive one on *both* makespan
@@ -139,24 +124,23 @@ PREDICT_QUERY_MIX = (
 )
 
 
-def time_query(catalog: Catalog, sql: str, config: EngineConfig | None = None) -> dict:
+def time_query(catalog: Catalog, sql: str) -> dict:
     """Wall-clock stats for one query: one cold run + REPEATS warm runs.
 
     The cold run pays expression compilation and planning; the warm runs
     hit the process-wide compile and plan caches, which is the regime the
     reported median (and the CI gate) tracks.
     """
-    engine = lambda: AccordionEngine(catalog, config=config)  # noqa: E731
     gc.collect()
     start = time.perf_counter()
-    result = engine().execute(sql)
+    result = AccordionEngine(catalog).execute(sql)
     cold = time.perf_counter() - start
     rows = result.num_rows
     samples = []
     for _ in range(REPEATS):
         gc.collect()
         start = time.perf_counter()
-        result = engine().execute(sql)
+        result = AccordionEngine(catalog).execute(sql)
         samples.append(time.perf_counter() - start)
         if result.num_rows != rows:
             raise AssertionError("warm run changed the result row count")
@@ -165,7 +149,7 @@ def time_query(catalog: Catalog, sql: str, config: EngineConfig | None = None) -
     # samples by far more than the drift gate tolerates.
     gc.collect()
     tracemalloc.start()
-    handle = engine().submit(sql)
+    handle = AccordionEngine(catalog).submit(sql)
     handle.result()
     _, tracemalloc_peak = tracemalloc.get_traced_memory()
     tracemalloc.stop()
@@ -180,11 +164,8 @@ def time_query(catalog: Catalog, sql: str, config: EngineConfig | None = None) -
     }
 
 
-def run_benchmarks(workers: int = 0) -> dict:
+def run_benchmarks() -> dict:
     catalog = Catalog.tpch(SCALE, SEED)
-    parallel_config = (
-        EngineConfig().with_parallelism(workers=workers) if workers else None
-    )
     results = {}
     for name in QUERY_SET:
         results[name] = time_query(catalog, QUERIES[name])
@@ -193,22 +174,7 @@ def run_benchmarks(workers: int = 0) -> dict:
             f"(cold {results[name]['cold_seconds']:.3f}s, "
             f"runs: {results[name]['samples_seconds']})"
         )
-        if parallel_config is not None:
-            par = time_query(catalog, QUERIES[name], parallel_config)
-            if par["result_rows"] != results[name]["result_rows"]:
-                raise AssertionError(
-                    f"{name}: parallel row count differs from serial"
-                )
-            speedup = results[name]["median_seconds"] / max(
-                par["median_seconds"], 1e-9
-            )
-            results[name]["parallel_median_seconds"] = par["median_seconds"]
-            results[name]["parallel_speedup"] = round(speedup, 3)
-            print(
-                f"{name}: parallel({workers}) median "
-                f"{par['median_seconds']:.3f}s ({speedup:.2f}x serial)"
-            )
-    report = {
+    return {
         "scale": SCALE,
         "seed": SEED,
         "repeats": REPEATS,
@@ -216,10 +182,6 @@ def run_benchmarks(workers: int = 0) -> dict:
         "machine": platform.machine(),
         "queries": results,
     }
-    if workers:
-        report["parallel_workers"] = workers
-        report["host_cores"] = os.cpu_count()
-    return report
 
 
 def profile_query(catalog: Catalog, name: str) -> None:
@@ -378,10 +340,13 @@ def check_memory_budget() -> int:
 def check_sharing_speedup() -> int:
     """Gate for concurrent-query folding + result caching (DESIGN.md §14).
 
-    Runs one seeded bursty two-tenant workload with sharing off and on:
-    the shared run must improve effective QPS (completed queries per
-    virtual second) by more than ``SHARING_MIN_SPEEDUP`` while returning
-    bit-identical rows for every submission.
+    Runs one seeded bursty two-tenant workload with sharing off and on,
+    then the shared run once more.  The shared run must record at least
+    one fold and one result-cache hit, improve effective QPS (completed
+    queries per virtual second) by more than ``SHARING_MIN_SPEEDUP``,
+    return bit-identical rows for every submission, and render a
+    byte-identical :class:`~repro.WorkloadReport` on the same-seed
+    re-run.
     """
     from repro import PoissonArrivals, Workload
 
@@ -403,6 +368,7 @@ def check_sharing_speedup() -> int:
 
     base_report, base_rows = run(sharing=False)
     shared_report, shared_rows = run(sharing=True)
+    rerun_report, _ = run(sharing=True)
     speedup = shared_report.effective_qps / max(base_report.effective_qps, 1e-12)
     stats = shared_report.sharing
     print(
@@ -417,6 +383,8 @@ def check_sharing_speedup() -> int:
         failures.append("shared answers differ from unshared answers")
     if stats.get("folds", 0) < 1 or stats.get("cache_hits", 0) < 1:
         failures.append(f"workload exercised no folds or no cache hits: {stats}")
+    if shared_report.render() != rerun_report.render():
+        failures.append("same-seed shared reports are not byte-identical")
     if speedup <= SHARING_MIN_SPEEDUP:
         failures.append(
             f"effective QPS speedup {speedup:.2f}x <= {SHARING_MIN_SPEEDUP}x"
@@ -427,69 +395,6 @@ def check_sharing_speedup() -> int:
             print("  " + failure)
         return 1
     print("sharing speedup ok")
-    return 0
-
-
-def check_parallel() -> int:
-    """Gate for the worker-pool offload backend (DESIGN.md §15).
-
-    Bit-identical rows between serial and 4-worker runs are required
-    unconditionally.  The speedup criterion (>= ``PARALLEL_MIN_SPEEDUP``
-    on at least ``PARALLEL_MIN_WINS`` of the gate queries) only applies
-    on hosts with ``PARALLEL_MIN_CORES``+ cores — forked workers cannot
-    beat serial while time-slicing one core, and the determinism
-    contract is the part that must hold everywhere.
-    """
-    cores = os.cpu_count() or 1
-    catalog = Catalog.tpch(SCALE, SEED)
-    serial_config = EngineConfig(page_row_limit=PARALLEL_PAGE_ROWS)
-    parallel_config = serial_config.with_parallelism(workers=PARALLEL_WORKERS)
-    failures = []
-    wins = 0
-    for name in PARALLEL_QUERIES:
-        sql = QUERIES[name]
-        serial_samples, parallel_samples = [], []
-        serial_rows = parallel_rows = None
-        # Interleaved so host-load drift hits both modes equally.
-        for _ in range(REPEATS):
-            gc.collect()
-            start = time.perf_counter()
-            result = AccordionEngine(catalog, config=serial_config).execute(sql)
-            serial_samples.append(time.perf_counter() - start)
-            serial_rows = sorted(result.rows)
-            gc.collect()
-            start = time.perf_counter()
-            result = AccordionEngine(catalog, config=parallel_config).execute(sql)
-            parallel_samples.append(time.perf_counter() - start)
-            parallel_rows = sorted(result.rows)
-        if serial_rows != parallel_rows:
-            failures.append(f"{name}: parallel rows differ from serial rows")
-        best_serial = min(serial_samples)
-        best_parallel = min(parallel_samples)
-        speedup = best_serial / max(best_parallel, 1e-9)
-        wins += speedup >= PARALLEL_MIN_SPEEDUP
-        print(
-            f"{name}: serial {best_serial:.3f}s / "
-            f"parallel({PARALLEL_WORKERS}) {best_parallel:.3f}s -> "
-            f"{speedup:.2f}x (rows identical: {serial_rows == parallel_rows})"
-        )
-    if cores < PARALLEL_MIN_CORES:
-        print(
-            f"parallel speedup gate skipped: {cores} core(s) < "
-            f"{PARALLEL_MIN_CORES} (bit-identity still enforced)"
-        )
-    elif wins < PARALLEL_MIN_WINS:
-        failures.append(
-            f"only {wins}/{len(PARALLEL_QUERIES)} queries reached "
-            f"{PARALLEL_MIN_SPEEDUP}x at {PARALLEL_WORKERS} workers "
-            f"(need {PARALLEL_MIN_WINS})"
-        )
-    if failures:
-        print("PARALLEL CHECK FAILED:")
-        for failure in failures:
-            print("  " + failure)
-        return 1
-    print("parallel offload ok")
     return 0
 
 
@@ -635,19 +540,8 @@ def main(argv: list[str] | None = None) -> int:
         help=(
             "exit nonzero unless folding + result caching improve a bursty "
             f"overlapping workload's effective QPS by more than "
-            f"{SHARING_MIN_SPEEDUP}x with bit-identical answers "
-            "(skips the normal report)"
-        ),
-    )
-    parser.add_argument(
-        "--check-parallel",
-        action="store_true",
-        help=(
-            f"exit nonzero unless {PARALLEL_WORKERS}-worker runs of "
-            f"{'/'.join(PARALLEL_QUERIES)} return bit-identical rows (and, "
-            f"on {PARALLEL_MIN_CORES}+-core hosts, beat serial by "
-            f"{PARALLEL_MIN_SPEEDUP}x on {PARALLEL_MIN_WINS}+ of them; "
-            "skips the normal report)"
+            f"{SHARING_MIN_SPEEDUP}x with bit-identical answers and a "
+            "byte-identical same-seed re-run (skips the normal report)"
         ),
     )
     parser.add_argument(
@@ -659,14 +553,6 @@ def main(argv: list[str] | None = None) -> int:
             "bursty workload, with identical answers "
             "(skips the normal report)"
         ),
-    )
-    parser.add_argument(
-        "--workers",
-        type=int,
-        default=0,
-        metavar="N",
-        help="additionally time each query with an N-worker pool and record "
-        "parallel columns in the report",
     )
     parser.add_argument(
         "--output",
@@ -682,12 +568,10 @@ def main(argv: list[str] | None = None) -> int:
         return check_memory_budget()
     if args.check_sharing_speedup:
         return check_sharing_speedup()
-    if args.check_parallel:
-        return check_parallel()
     if args.check_predictive:
         return check_predictive()
 
-    report = run_benchmarks(workers=args.workers)
+    report = run_benchmarks()
     if args.output.exists():
         # Keep one level of history so a commit shows before -> after.
         try:

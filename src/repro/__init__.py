@@ -19,7 +19,6 @@ from .config import (
     FaultConfig,
     MemoryConfig,
     NodeSpec,
-    ParallelConfig,
     PredictionConfig,
     SharingConfig,
     TraceConfig,
@@ -51,7 +50,6 @@ from .errors import (
     QueryRejectedError,
     SqlError,
     TuningRejected,
-    WorkerCrashedError,
 )
 from .experiments import (
     EVAL_SCALE,
@@ -107,7 +105,6 @@ __all__ = [
     "NodeJoin",
     "NodeSpec",
     "OutputMode",
-    "ParallelConfig",
     "PoissonArrivals",
     "Prediction",
     "PredictionConfig",
@@ -138,7 +135,6 @@ __all__ = [
     "TraceConfig",
     "Tracer",
     "TuningRejected",
-    "WorkerCrashedError",
     "Workload",
     "WorkloadConfig",
     "WorkloadReport",

@@ -387,43 +387,6 @@ class SharingConfig(_Fingerprinted):
 
 
 @dataclass(frozen=True)
-class ParallelConfig(_Fingerprinted):
-    """Shared-memory worker-pool offload (``repro.parallel``).
-
-    Off by default (``workers=0``): everything executes inline on the
-    host process, bit-identical to earlier releases.  With ``workers=N``
-    the engine offloads CPU-heavy kernel work — join probe expansion,
-    aggregation partials, compiled filter/project batches, radix spill
-    partitioning — to a pool of N forked worker processes over
-    ``multiprocessing.shared_memory``.  The deterministic SimKernel
-    remains the control plane: offload results are applied in
-    deterministic submission order, so answers, virtual-time accounting,
-    traces, and same-seed reports stay bit-identical to ``workers=0``
-    (DESIGN.md §15).
-    """
-
-    #: Number of worker processes; 0 disables offloading entirely.
-    workers: int = 0
-    #: Pages below this many rows are not worth a job round-trip and
-    #: evaluate inline.
-    min_offload_rows: int = 2048
-    #: Smallest per-worker chunk when splitting one page's rows across
-    #: workers; fewer chunks are used for smaller pages.
-    min_chunk_rows: int = 2048
-    #: Crashed (not erroring) jobs are retried this many times on a
-    #: respawned worker before :class:`WorkerCrashedError` surfaces.
-    max_retries: int = 2
-    #: Wall-clock seconds before an unresponsive job's worker is killed
-    #: (the hang backstop; generous because it is per job, not per page).
-    job_timeout_s: float = 120.0
-    #: Per-kind offload switches (all on; useful for bisecting).
-    offload_join: bool = True
-    offload_agg: bool = True
-    offload_exprs: bool = True
-    offload_radix: bool = True
-
-
-@dataclass(frozen=True)
 class PredictionConfig(_Fingerprinted):
     """Learned per-stage resource prediction (``repro.predict``).
 
@@ -551,7 +514,6 @@ class EngineConfig(_Fingerprinted):
         ├── tracing:  TraceConfig   (observability switches)
         ├── workload: WorkloadConfig (admission + arbitration)
         ├── sharing:  SharingConfig (query folding + result cache)
-        ├── parallel: ParallelConfig (worker-pool offload backend)
         └── prediction: PredictionConfig (learned demand profiles)
 
     Every node is a frozen dataclass with a stable ``fingerprint()`` and
@@ -596,8 +558,6 @@ class EngineConfig(_Fingerprinted):
     workload: WorkloadConfig = field(default_factory=WorkloadConfig)
     #: Concurrent-query folding + shared result cache; off by default.
     sharing: SharingConfig = field(default_factory=SharingConfig)
-    #: Worker-pool offload backend (real multi-core); off by default.
-    parallel: ParallelConfig = field(default_factory=ParallelConfig)
     #: Learned per-stage demand prediction; off by default.
     prediction: PredictionConfig = field(default_factory=PredictionConfig)
 
@@ -637,16 +597,6 @@ class EngineConfig(_Fingerprinted):
         """
         kwargs.setdefault("enabled", True)
         return replace(self, sharing=replace(self.sharing, **kwargs))
-
-    def with_parallelism(self, workers: int = 4, **kwargs) -> "EngineConfig":
-        """Return a copy with the worker-pool offload backend enabled.
-
-        ``EngineConfig().with_parallelism(workers=4)`` offloads kernel
-        work to 4 forked worker processes over shared memory; results
-        stay bit-identical to the serial engine (DESIGN.md §15).
-        """
-        kwargs["workers"] = workers
-        return replace(self, parallel=replace(self.parallel, **kwargs))
 
     def with_prediction(self, **kwargs) -> "EngineConfig":
         """Return a copy with demand prediction enabled (plus any

@@ -86,37 +86,6 @@ class MemoryBudgetExceededError(ExecutionError):
         self.budget_bytes = budget_bytes
 
 
-class OffloadError(ExecutionError):
-    """Base class for failures in the parallel offload backend."""
-
-
-class WorkerCrashedError(OffloadError):
-    """A pool worker died (or overran its job deadline and was killed)
-    and the job's bounded retry budget is exhausted.
-
-    The offload layer never hangs on a dead worker: every in-flight job
-    on the crashed process resolves immediately, pure jobs are retried
-    up to ``ParallelConfig.max_retries`` times on surviving workers, and
-    only then does this structured error reach the query.
-    """
-
-    def __init__(self, message: str, kind: str | None = None, retries: int = 0):
-        super().__init__(message)
-        self.kind = kind
-        self.retries = retries
-
-
-class WorkerJobError(OffloadError):
-    """A job raised inside a worker.  Deterministic given the job inputs,
-    so it is *not* retried; carries the remote traceback for diagnosis."""
-
-    def __init__(self, message: str, kind: str | None = None,
-                 remote_traceback: str = ""):
-        super().__init__(message)
-        self.kind = kind
-        self.remote_traceback = remote_traceback
-
-
 class QueryFailedError(ExecutionError):
     """A query reached the FAILED state (unrecoverable fault or operator
     error).  Carries the structured fault history collected by the

@@ -7,7 +7,7 @@ the virtual clock (:mod:`~repro.obs.trace`), Chrome trace-event export
 (:mod:`~repro.obs.metrics`).  See DESIGN.md §9.
 """
 
-from .export import QueryTrace, offload_counters, throughput_counters
+from .export import QueryTrace, throughput_counters
 from .metrics import Counter, MetricsRegistry
 from .profile import OpProfile, Profiler, ProfileReport
 from .trace import NULL_TRACER, NullTracer, Span, Tracer
@@ -17,7 +17,6 @@ __all__ = [
     "MetricsRegistry",
     "NullTracer",
     "NULL_TRACER",
-    "offload_counters",
     "OpProfile",
     "Profiler",
     "ProfileReport",

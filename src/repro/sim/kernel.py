@@ -96,13 +96,6 @@ class SimKernel:
         #: tracer is read-only w.r.t. simulation state — it never schedules
         #: events or consumes randomness.
         self.tracer = NULL_TRACER
-        #: Offload client (repro.parallel) reachable from every component
-        #: that holds the kernel, mirroring ``tracer``.  ``None`` keeps
-        #: everything inline; the engine assigns a client when
-        #: ``EngineConfig.parallel.workers > 0``.  Like the tracer it is
-        #: read-only w.r.t. simulation state: offloaded work returns
-        #: bit-identical arrays, so no event order or timing can change.
-        self.offload = None
 
     # -- scheduling -------------------------------------------------------
     def schedule(self, delay: float, fn: Callable[[], None]) -> Event:

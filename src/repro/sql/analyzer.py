@@ -154,8 +154,13 @@ class ExpressionBinder:
 
     # -- entry point ----------------------------------------------------
     def bind(self, node: ast.ExprNode) -> BoundExpr:
-        if node in self.group_expr_map:
-            index = self.group_expr_map[node]
+        try:
+            index = self.group_expr_map.get(node)
+        except TypeError:
+            # A tree holding a subquery (an unhashable SelectStatement) is
+            # never a group key; its _bind_ method rejects the position.
+            index = None
+        if index is not None:
             # Type comes from re-binding the group expression itself.
             inner = ExpressionBinder(self.scope).bind(node)
             return InputRef(index, inner.type, name=str(node))
@@ -409,7 +414,12 @@ def _fold_constant(op: str, left: Constant, right: Constant, result_type: Column
         "%": lambda a, b: a % b,
         "||": lambda a, b: f"{a}{b}",
     }
-    value = ops[op](left.value, right.value)
+    try:
+        value = ops[op](left.value, right.value)
+    except ZeroDivisionError as exc:
+        raise AnalysisError(
+            f"division by zero in constant expression {left.value} {op} {right.value}"
+        ) from exc
     if result_type is ColumnType.INT64:
         value = int(value)
     return Constant(value, result_type)

@@ -8,15 +8,22 @@ from __future__ import annotations
 
 import math
 
+import json
+
+import numpy as np
 import pytest
 
-from repro import AccordionEngine, EngineConfig
+from repro import AccordionEngine, EngineConfig, FaultPlan, NodeCrash
 from repro.config import CostModel
 from repro.data import Catalog
+from repro.errors import TuningRejected
 
 
 TEST_SCALE = 0.005
 TEST_SEED = 777
+#: Virtual times at which run_under_crash_and_tuning's seeded tuning
+#: schedule acts.
+TUNING_TIMES = (0.5, 1.0, 1.8)
 
 
 @pytest.fixture(scope="session")
@@ -81,3 +88,44 @@ def norm_rows(rows, ndigits: int = 4):
                 cells.append(value)
         out.append(tuple(cells))
     return sorted(out)
+
+
+def run_under_crash_and_tuning(make_engine, sql: str, trace: bool = False) -> dict:
+    """One full run under a node crash and a seeded tuning schedule.
+
+    ``make_engine()`` builds the engine (and its catalog, if the caller
+    varies it).  Compute node 1 crashes at 2.2 virtual seconds and a
+    seeded (rng 99) schedule resizes random stages at ``TUNING_TIMES``.
+    Returns everything the simulation determines, so an inertness test
+    compares two of these dicts for equality; ``trace=True`` adds the
+    query's Chrome trace (the engine must have tracing on).
+    """
+    engine = make_engine()
+    engine.inject_faults(
+        FaultPlan(seed=11, events=(NodeCrash(at=2.2, node="compute1"),))
+    )
+    handle = engine.submit(sql)
+    rng = np.random.default_rng(99)
+    actions = []
+    for at in TUNING_TIMES:
+        engine.run_until(at)
+        stage = int(rng.integers(1, 4))
+        dop = int(rng.integers(1, 6))
+        try:
+            outcome = handle.tuning.ap(stage, dop).accepted
+        except TuningRejected as rejected:
+            outcome = f"rejected: {rejected}"
+        actions.append((at, stage, dop, outcome))
+    engine.run_until_done(handle, max_events=5_000_000)
+    result = {
+        "rows": norm_rows(handle.result().rows),
+        "virtual_time": engine.now,
+        "events": engine.kernel.events_processed,
+        "actions": actions,
+        "faults": len(engine.fault_injector.history),
+    }
+    if trace:
+        result["trace"] = json.dumps(
+            handle.trace().to_chrome_json(), sort_keys=True, default=str
+        )
+    return result

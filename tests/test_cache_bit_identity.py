@@ -10,53 +10,24 @@ number of kernel events processed.
 
 from __future__ import annotations
 
-import numpy as np
 import pytest
 
-from conftest import TEST_SEED, norm_rows, slow_engine
+from conftest import TEST_SEED, run_under_crash_and_tuning, slow_engine
 
-from repro import FaultPlan, NodeCrash
-from repro.errors import TuningRejected
 from repro.data import Catalog
 from repro.data.tpch.dataset_cache import clear_dataset_cache
 from repro.data.tpch.queries import QUERIES
 from repro.sql.compiler import clear_compile_cache
 
-MAX_EVENTS = 5_000_000
 
-#: Virtual times at which the seeded tuning schedule acts.
-TUNING_TIMES = (0.5, 1.0, 1.8)
+def run_instrumented(sql: str, caches: bool) -> dict:
+    """One full run with every host cache on or off."""
 
+    def make_engine():
+        catalog = Catalog.tpch(scale=0.005, seed=TEST_SEED, dataset_cache=caches)
+        return slow_engine(catalog, plan_cache=caches, compiled_expressions=caches)
 
-def run_instrumented(sql: str, caches: bool):
-    """One full run; returns everything the simulation determines."""
-    catalog = Catalog.tpch(scale=0.005, seed=TEST_SEED, dataset_cache=caches)
-    engine = slow_engine(
-        catalog, plan_cache=caches, compiled_expressions=caches
-    )
-    engine.inject_faults(
-        FaultPlan(seed=11, events=(NodeCrash(at=2.2, node="compute1"),))
-    )
-    handle = engine.submit(sql)
-    rng = np.random.default_rng(99)
-    actions = []
-    for at in TUNING_TIMES:
-        engine.run_until(at)
-        stage = int(rng.integers(1, 4))
-        dop = int(rng.integers(1, 6))
-        try:
-            outcome = handle.tuning.ap(stage, dop).accepted
-        except TuningRejected as rejected:
-            outcome = f"rejected: {rejected}"
-        actions.append((at, stage, dop, outcome))
-    engine.run_until_done(handle, max_events=MAX_EVENTS)
-    return {
-        "rows": norm_rows(handle.result().rows),
-        "virtual_time": engine.now,
-        "events": engine.kernel.events_processed,
-        "actions": actions,
-        "faults": len(engine.fault_injector.history),
-    }
+    return run_under_crash_and_tuning(make_engine, sql)
 
 
 @pytest.mark.parametrize("name", ["Q3", "Q5"])

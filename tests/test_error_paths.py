@@ -44,6 +44,62 @@ def test_analysis_error_unknown_table(engine):
         engine.execute("select * from no_such_table")
 
 
+@pytest.mark.parametrize(
+    "sql, message",
+    [
+        pytest.param(
+            "select n_name from nation where n_nationkey in "
+            "(select r_regionkey from region) or n_nationkey = 1",
+            "IN \\(subquery\\) in unsupported position",
+            id="in-subquery-under-or",
+        ),
+        pytest.param(
+            "select n_name from nation where not "
+            "(n_nationkey in (select r_regionkey from region))",
+            "IN \\(subquery\\) in unsupported position",
+            id="in-subquery-under-not",
+        ),
+        pytest.param(
+            "select n_name from nation where exists "
+            "(select r_regionkey from region) or n_nationkey = 1",
+            "EXISTS in unsupported position",
+            id="exists-under-or",
+        ),
+        pytest.param(
+            "select n_name from nation where not exists "
+            "(select r_regionkey from region where r_regionkey = n_regionkey)"
+            " or n_nationkey = 1",
+            "EXISTS in unsupported position",
+            id="not-exists-under-or",
+        ),
+        pytest.param(
+            "select n_name from nation where n_nationkey = "
+            "(select max(r_regionkey) from region) or n_nationkey = 1",
+            "scalar subquery in unsupported position",
+            id="scalar-subquery-under-or",
+        ),
+        pytest.param(
+            "select 1/0 from nation",
+            "division by zero",
+            id="constant-int-division-by-zero",
+        ),
+        pytest.param(
+            "select 1.0/0 from nation",
+            "division by zero",
+            id="constant-float-division-by-zero",
+        ),
+        pytest.param(
+            "select 1 % 0 from nation",
+            "division by zero",
+            id="constant-modulo-by-zero",
+        ),
+    ],
+)
+def test_unsupported_expression_raises_analysis_error(engine, sql, message):
+    with pytest.raises(AnalysisError, match=message):
+        engine.execute(sql)
+
+
 def test_frontend_errors_are_typed_accordion_errors():
     for exc_type in (LexError, ParseError, AnalysisError):
         assert issubclass(exc_type, SqlError)

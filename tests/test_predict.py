@@ -18,26 +18,21 @@ from __future__ import annotations
 
 import json
 
-import numpy as np
 import pytest
 
-from conftest import TEST_SEED, norm_rows
+from conftest import TEST_SEED, run_under_crash_and_tuning
 
 from repro import (
     AccordionEngine,
     Catalog,
     CostModel,
     EngineConfig,
-    FaultPlan,
-    NodeCrash,
     QueryOptions,
     QueryRejectedError,
 )
-from repro.errors import ExecutionError, TuningRejected
+from repro.errors import ExecutionError
 from repro.predict import template_fingerprint
 
-MAX_EVENTS = 5_000_000
-TUNING_TIMES = (0.5, 1.0, 1.8)
 
 AGG_SQL = (
     "select l_returnflag, count(*), sum(l_quantity) from lineitem "
@@ -176,45 +171,25 @@ class TestHistory:
 
 
 # -- inertness with empty history -------------------------------------------
-def run_instrumented(catalog, predictive: bool):
-    """One crash + seeded-tuning run; returns everything the simulation
-    determines.  The predictive engine starts with an *empty* history —
-    the contract is that it must not perturb the run at all."""
-    config = EngineConfig(
-        cost=CostModel().scaled(1000.0), page_row_limit=256
-    ).with_tracing()
-    if predictive:
-        config = config.with_prediction()
-    engine = AccordionEngine(catalog, config=config)
-    engine.inject_faults(
-        FaultPlan(seed=11, events=(NodeCrash(at=2.2, node="compute1"),))
-    )
-    handle = engine.submit(
+def run_instrumented(catalog, predictive: bool) -> dict:
+    """One crash + seeded-tuning run.  The predictive engine starts with
+    an *empty* history — the contract is that it must not perturb the
+    run at all."""
+
+    def make_engine():
+        config = EngineConfig(
+            cost=CostModel().scaled(1000.0), page_row_limit=256
+        ).with_tracing()
+        if predictive:
+            config = config.with_prediction()
+        return AccordionEngine(catalog, config=config)
+
+    return run_under_crash_and_tuning(
+        make_engine,
         "select l_orderkey, sum(l_extendedprice) from lineitem "
-        "where l_quantity > 5 group by l_orderkey"
+        "where l_quantity > 5 group by l_orderkey",
+        trace=True,
     )
-    rng = np.random.default_rng(99)
-    actions = []
-    for at in TUNING_TIMES:
-        engine.run_until(at)
-        stage = int(rng.integers(1, 4))
-        dop = int(rng.integers(1, 6))
-        try:
-            outcome = handle.tuning.ap(stage, dop).accepted
-        except TuningRejected as rejected:
-            outcome = f"rejected: {rejected}"
-        actions.append((at, stage, dop, outcome))
-    engine.run_until_done(handle, max_events=MAX_EVENTS)
-    return {
-        "rows": norm_rows(handle.result().rows),
-        "virtual_time": engine.now,
-        "events": engine.kernel.events_processed,
-        "actions": actions,
-        "faults": len(engine.fault_injector.history),
-        "trace": json.dumps(
-            handle.trace().to_chrome_json(), sort_keys=True, default=str
-        ),
-    }
 
 
 def test_empty_history_is_bit_inert_under_faults_and_tuning(catalog):

@@ -146,7 +146,7 @@ def test_float_probe_keys_against_int_build_keys():
     sink = JoinBuildSink(COST, bridge)
     sink.deliver([_page([INT], [[1, 2, 3]])])
     sink.driver_finished()
-    gids = bridge.probe_group_ids([np.array([2.5, 2.0, -1.0, 3.0])])
+    gids = bridge.index.probe_group_ids([np.array([2.5, 2.0, -1.0, 3.0])])
     assert gids[0] == -1 and gids[2] == -1
     assert gids[1] >= 0 and gids[3] >= 0
     assert gids[1] != gids[3]
